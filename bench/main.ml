@@ -199,6 +199,8 @@ let micro () =
    print a table, feed the robustness sections of BENCH_stm.json, and are
    run standalone by the CI chaos-soak job (non-zero exit on failure).  *)
 
+module Chaos = Harness.Chaos
+
 let chaos_probs = [ 0.01; 0.05; 0.2 ]
 
 (* CI runs the soak over an explicit seed matrix (CHAOS_SEEDS="1 2 3") so a
@@ -211,11 +213,15 @@ let chaos_seeds =
       |> List.filter (fun tok -> tok <> "")
       |> List.map int_of_string
 
-(* CHAOS_TM_POLICY pins the whole soak matrix to one TM policy (a fixed
-   name or "adaptive") — the replay knob printed in every failing soak's
-   repro line, and the CI axis that re-runs the soak under non-default
-   points of the policy matrix. *)
+(* CHAOS_TM_POLICY pins every scenario of the chaos target to one TM
+   policy (a fixed name or "adaptive") — printed in the repro line of a
+   failing chaos-target soak, and the CI axis that re-runs the soaks under
+   non-default points of the policy matrix. *)
 let chaos_tm_policy = Sys.getenv_opt "CHAOS_TM_POLICY"
+
+(* One run of [scenario] per CI seed. *)
+let soak_seeds scenario config =
+  List.map (fun seed -> Chaos.run scenario (config ~seed)) chaos_seeds
 
 let chaos_matrix ~ops_per_domain =
   List.concat_map
@@ -224,69 +230,63 @@ let chaos_matrix ~ops_per_domain =
         (fun seed ->
           List.map
             (fun policy ->
-              let r =
-                Harness.Chaos.run_soak
-                  (Harness.Chaos.default_soak ~policy
-                     ?tm_policy:chaos_tm_policy ~domains:2 ~ops_per_domain
-                     ~seed p)
-              in
-              (p, seed, policy, r))
+              Chaos.run Chaos.mixed
+                (Chaos.config ~policy ?tm_policy:chaos_tm_policy ~domains:2
+                   ~ops_per_domain ~seed p))
             [ Stm.Contention.default; Stm.Contention.Greedy ])
         chaos_seeds)
     chaos_probs
 
-(* Snapshot-reader prefix-consistency soak: one seeded run per CI seed,
-   writers under injection committing mirror map/sorted pairs while a
-   snapshot reader checks every section for torn reads. *)
+(* Snapshot-reader prefix-consistency soak: writers under injection
+   committing mirror map/sorted pairs while a snapshot reader checks every
+   section for torn reads. *)
 let snapshot_soak_matrix ~ops_per_domain =
-  List.map
-    (fun seed ->
-      ( seed,
-        Harness.Chaos.run_snapshot_soak
-          (Harness.Chaos.default_soak ?tm_policy:chaos_tm_policy ~domains:2
-             ~ops_per_domain ~key_space:48 ~seed 0.05) ))
-    chaos_seeds
+  soak_seeds Chaos.snapshot
+    (Chaos.config ?tm_policy:chaos_tm_policy ~domains:2 ~ops_per_domain
+       ~key_space:48 0.05)
 
 let chaos () =
   let rows = chaos_matrix ~ops_per_domain:800 in
   Fmt.pf ppf "@.Chaos soak (2 domains, map+sorted+queue, seeded injection)@.";
   Fmt.pf ppf "  %5s %5s %-8s %6s %-10s %s@." "p" "seed" "policy" "ok"
     "committed" "injections (conflict/remote/handler/delay)";
-  let failed = ref false in
   List.iter
-    (fun (p, seed, policy, (r : Harness.Chaos.soak_report)) ->
-      if not r.ok then failed := true;
+    (fun (r : Chaos.report) ->
       let c, ra, hf, d = r.injections in
-      Fmt.pf ppf "  %5.2f %5d %-8s %6b %10d %d/%d/%d/%d@." p seed
-        (Stm.Contention.name policy)
+      Fmt.pf ppf "  %5.2f %5d %-8s %6b %10d %d/%d/%d/%d@." r.config.p
+        r.config.seed
+        (Stm.Contention.name r.config.policy)
         r.ok r.committed c ra hf d;
       List.iter (fun e -> Fmt.pf ppf "        FAILED: %s@." e) r.errors)
     rows;
-  Fmt.pf ppf
-    "@.Snapshot-reader soak (2 writer domains + 1 snapshot reader, mirror \
-     writes)@.";
+  let soaks =
+    [
+      ( "Snapshot-reader soak (2 writer domains + 1 snapshot reader, mirror \
+         writes)",
+        snapshot_soak_matrix ~ops_per_domain:800 );
+      ( "Striped soak (2 domains, one K=16 striped map, seeded injection)",
+        soak_seeds Chaos.striped
+          (Chaos.config ?tm_policy:chaos_tm_policy ~domains:2
+             ~ops_per_domain:800 0.05) );
+      ( "Derived-collection soak (spec-derived set+bag+pq+counter, seeded \
+         injection)",
+        soak_seeds Chaos.derived
+          (Chaos.config ?tm_policy:chaos_tm_policy ~domains:2
+             ~ops_per_domain:800 0.05) );
+    ]
+  in
   List.iter
-    (fun (seed, (r : Harness.Chaos.snapshot_soak_report)) ->
-      if not r.sn_ok then failed := true;
-      Fmt.pf ppf "  seed %d: %a@." seed Harness.Chaos.pp_snapshot_report r)
-    (snapshot_soak_matrix ~ops_per_domain:800);
-  Fmt.pf ppf
-    "@.Derived-collection soak (spec-derived set+bag+pq+counter, seeded \
-     injection)@.";
-  List.iter
-    (fun seed ->
-      let r =
-        Harness.Chaos.run_derived_soak
-          (Harness.Chaos.default_soak ?tm_policy:chaos_tm_policy ~domains:2
-             ~ops_per_domain:800 ~seed 0.05)
-      in
-      if not r.ok then failed := true;
-      let c, ra, hf, d = r.injections in
-      Fmt.pf ppf "  seed %d: ok %b committed %d injections %d/%d/%d/%d@." seed
-        r.ok r.committed c ra hf d;
-      List.iter (fun e -> Fmt.pf ppf "        FAILED: %s@." e) r.errors)
-    chaos_seeds;
-  if !failed then begin
+    (fun (title, rows) ->
+      Fmt.pf ppf "@.%s@." title;
+      List.iter
+        (fun (r : Chaos.report) ->
+          Fmt.pf ppf "  seed %d: %a@." r.config.seed Chaos.pp_report r)
+        rows)
+    soaks;
+  if
+    List.exists (fun (r : Chaos.report) -> not r.ok)
+      (rows @ List.concat_map snd soaks)
+  then begin
     Fmt.pf ppf "  CHAOS SOAK FAILED@.";
     exit 1
   end
@@ -305,29 +305,23 @@ let failover_lag_bound = function
 let failover_matrix ~ops_per_domain =
   List.concat_map
     (fun mode ->
-      List.map
-        (fun seed ->
-          ( mode,
-            seed,
-            Harness.Chaos.run_failover_soak
-              (Harness.Chaos.default_failover ~domains:2 ~ops_per_domain
-                 ~places:4 ~key_space:192 ~kills:3 ~mode ~seed 0.05) ))
-        chaos_seeds)
+      soak_seeds Chaos.failover
+        (Chaos.config ~domains:2 ~ops_per_domain ~key_space:192 ~kills:3 ~mode
+           0.05))
     failover_modes
 
 let failover () =
   Fmt.pf ppf
     "@.Failover soak (kill/recover a master place mid-traffic, 2 writer \
      domains + snapshot reader)@.";
-  let failed = ref false in
+  let rows = failover_matrix ~ops_per_domain:1200 in
   List.iter
-    (fun (mode, seed, (r : Harness.Chaos.failover_report)) ->
-      if not r.fv_ok then failed := true;
+    (fun (r : Chaos.report) ->
       Fmt.pf ppf "  mode=%-5s seed=%d: %a@."
-        (Harness.Chaos.mode_name mode)
-        seed Harness.Chaos.pp_failover_report r)
-    (failover_matrix ~ops_per_domain:1200);
-  if !failed then begin
+        (Chaos.mode_name r.config.mode)
+        r.config.seed Chaos.pp_report r)
+    rows;
+  if List.exists (fun (r : Chaos.report) -> not r.ok) rows then begin
     Fmt.pf ppf "  FAILOVER SOAK FAILED@.";
     exit 1
   end
@@ -1119,18 +1113,18 @@ let stmscale_json ~cores ~chaos_rows ~snapshot_soak_rows ~failover_rows
   Buffer.add_string b "  ],\n";
   Buffer.add_string b "  \"snapshot_soak\": [\n";
   List.iteri
-    (fun i (seed, (r : Harness.Chaos.snapshot_soak_report)) ->
+    (fun i (r : Chaos.report) ->
       Buffer.add_string b
         (Printf.sprintf
            "    {\"seed\": %d, \"ok\": %b, \"snapshots\": %d, \
             \"writer_commits\": %d}%s\n"
-           seed r.sn_ok r.sn_snapshots r.sn_writer_commits
+           r.config.seed r.ok r.snapshots r.committed
            (if i = List.length snapshot_soak_rows - 1 then "" else ",")))
     snapshot_soak_rows;
   Buffer.add_string b "  ],\n";
   Buffer.add_string b "  \"chaos\": [\n";
   List.iteri
-    (fun i (p, seed, policy, (r : Harness.Chaos.soak_report)) ->
+    (fun i (r : Chaos.report) ->
       let c, ra, hf, d = r.injections in
       Buffer.add_string b
         (Printf.sprintf
@@ -1138,36 +1132,37 @@ let stmscale_json ~cores ~chaos_rows ~snapshot_soak_rows ~failover_rows
             \"committed\": %d, \"injected_conflicts\": %d, \
             \"injected_remote_aborts\": %d, \"injected_handler_faults\": %d, \
             \"injected_delays\": %d}%s\n"
-           (jf ~dp:2 p) seed
-           (Tcc_stm.Stm.Contention.name policy)
+           (jf ~dp:2 r.config.p) r.config.seed
+           (Stm.Contention.name r.config.policy)
            r.ok r.committed c ra hf d
            (if i = List.length chaos_rows - 1 then "" else ",")))
     chaos_rows;
   Buffer.add_string b "  ],\n";
   Buffer.add_string b "  \"failover\": [\n";
   List.iteri
-    (fun i (mode, seed, (r : Harness.Chaos.failover_report)) ->
+    (fun i (r : Chaos.report) ->
       Buffer.add_string b
         (Printf.sprintf
            "    {\"mode\": \"%s\", \"seed\": %d, \"ok\": %b, \"committed\": \
             %d, \"committed_after_failover\": %d, \"kills\": %d, \
             \"place_down\": %d, \"snapshots\": %d, \"snapshot_denials\": \
             %d}%s\n"
-           (Harness.Chaos.mode_name mode)
-           seed r.fv_ok r.fv_committed r.fv_committed_after_failover r.fv_kills
-           r.fv_place_down r.fv_snapshots r.fv_snapshot_denials
+           (Chaos.mode_name r.config.mode)
+           r.config.seed r.ok r.committed r.committed_after_fault r.kills
+           r.place_down r.snapshots r.denials
            (if i = List.length failover_rows - 1 then "" else ",")))
     failover_rows;
   Buffer.add_string b "  ],\n";
   Buffer.add_string b "  \"replication_lag\": [\n";
   List.iteri
-    (fun i (mode, seed, (r : Harness.Chaos.failover_report)) ->
+    (fun i (r : Chaos.report) ->
       Buffer.add_string b
         (Printf.sprintf
            "    {\"mode\": \"%s\", \"seed\": %d, \"max_lag_observed\": %d, \
             \"lag_bound\": %d}%s\n"
-           (Harness.Chaos.mode_name mode)
-           seed r.fv_max_lag (failover_lag_bound mode)
+           (Chaos.mode_name r.config.mode)
+           r.config.seed r.max_lag
+           (failover_lag_bound r.config.mode)
            (if i = List.length failover_rows - 1 then "" else ",")))
     failover_rows;
   Buffer.add_string b "  ],\n";

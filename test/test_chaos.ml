@@ -74,32 +74,109 @@ let test_abort_handler_failure_stops_retry () =
 (* ---------------- determinism ---------------- *)
 
 let test_chaos_determinism () =
-  (* Single domain: the whole schedule is deterministic, so two runs with
-     the same seed must produce the same injection counts and final
-     contents. *)
-  let soak seed =
-    Chaos.run_soak
-      (Chaos.default_soak ~domains:1 ~ops_per_domain:800 ~seed 0.1)
+  (* Every scenario that runs on one domain without a reader is fully
+     deterministic: two runs with the same seed must produce the same
+     injection counts and the same final contents. *)
+  List.iter
+    (fun ((sc : Chaos.scenario), (cfg : Chaos.config)) ->
+      let a = Chaos.run sc cfg and b = Chaos.run sc cfg in
+      let name what = Printf.sprintf "%s: %s" sc.name what in
+      Alcotest.(check bool) (name "run A converged") true a.ok;
+      Alcotest.(check bool) (name "run B converged") true b.ok;
+      Alcotest.(check string)
+        (name "identical fingerprints for identical seeds")
+        a.fingerprint b.fingerprint;
+      Alcotest.(check bool) (name "injections actually happened") true
+        (let c, r, h, d = a.injections in
+         c + r + h + d > 0);
+      Alcotest.(check bool) (name "identical injection schedules") true
+        (a.injections = b.injections);
+      Alcotest.(check bool) (name "different seed still converges") true
+        (Chaos.run sc { cfg with seed = cfg.seed + 1 }).ok)
+    [
+      (Chaos.mixed, Chaos.config ~domains:1 ~ops_per_domain:800 ~seed:42 0.1);
+      ( Chaos.striped,
+        Chaos.config ~stripes:8 ~domains:1 ~ops_per_domain:800 ~seed:5 0.1 );
+      (Chaos.derived, Chaos.config ~domains:1 ~ops_per_domain:800 ~seed:42 0.1);
+    ]
+
+(* ---------------- a soak can fail ---------------- *)
+
+(* A map scenario whose model drops the first committed put.  Every op
+   writes a fresh key, so no later write can mask the loss. *)
+let lossy =
+  let make (cfg : Chaos.config) =
+    let map = Map.create () in
+    let dropped = ref false in
+    let step (w : Chaos.worker) i =
+      let k = (w.index * cfg.ops_per_domain) + i in
+      {
+        Chaos.body = (fun () -> ignore (Map.put map k i));
+        model =
+          (fun () ->
+            if !dropped then Chaos.bind w "map" k i else dropped := true);
+      }
+    in
+    {
+      Chaos.step;
+      final =
+        (fun f ->
+          Chaos.agrees f "map" (Map.to_list map);
+          "");
+      leaks = [ ("map", fun () -> Map.outstanding_locks map) ];
+      reader = None;
+      fault = None;
+    }
   in
-  let a = soak 42 and b = soak 42 in
-  Alcotest.(check bool) "run A converged" true a.ok;
-  Alcotest.(check bool) "run B converged" true b.ok;
-  Alcotest.(check string) "identical fingerprints for identical seeds"
-    a.fingerprint b.fingerprint;
-  Alcotest.(check bool) "injections actually happened" true
-    (let c, r, h, d = a.injections in
-     c + r + h + d > 0);
-  Alcotest.(check bool) "identical injection schedules" true
-    (a.injections = b.injections);
-  let other = soak 43 in
-  Alcotest.(check bool) "different seed still converges" true other.ok
+  { Chaos.name = "lossy"; target = "chaos"; salt = 0x1055; make }
+
+let contains sub s =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let test_lost_effect_fails () =
+  let r =
+    Chaos.run lossy (Chaos.config ~domains:1 ~ops_per_domain:50 ~seed:9 0.1)
+  in
+  Alcotest.(check bool) "report is not ok" false r.ok;
+  Alcotest.(check bool) "a final error names the model check, with context"
+    true
+    (List.exists
+       (fun e ->
+         String.starts_with ~prefix:"[seed=9 section=lossy.final " e
+         && contains "] map size vs model" e)
+       r.errors);
+  Alcotest.(check bool) "the errors carry the repro line" true
+    (List.exists
+       (String.starts_with
+          ~prefix:"reproduce: Harness.Chaos.run Harness.Chaos.lossy {seed=9;")
+       r.errors)
+
+let test_repro_line () =
+  (* The repro line names the scenario and its full config, then the bench
+     target, with CHAOS_TM_POLICY only where that target reads it. *)
+  let cfg = Chaos.config ~tm_policy:"adaptive" ~seed:3 0.05 in
+  let mixed = Chaos.repro Chaos.mixed cfg in
+  let failover = Chaos.repro Chaos.failover cfg in
+  Alcotest.(check string) "scenario, full config and target"
+    "reproduce: Harness.Chaos.run Harness.Chaos.failover {seed=3; p=0.05; \
+     policy=backoff; tm_policy=adaptive; domains=2; ops_per_domain=800; \
+     key_space=64; stripes=16; mode=eager; kills=3}; bench target: \
+     CHAOS_SEEDS=3 dune exec bench/main.exe -- failover"
+    failover;
+  Alcotest.(check bool) "the chaos target reads CHAOS_TM_POLICY" true
+    (contains "CHAOS_SEEDS=3 CHAOS_TM_POLICY=adaptive dune exec" mixed
+    && String.ends_with ~suffix:"-- chaos" mixed)
 
 (* ---------------- acceptance soak matrix ---------------- *)
 
 let test_soak_matrix () =
   (* p in {0.01, 0.05, 0.2} x 3 seeds x {default, greedy}, 2 domains, all
      three collection classes; every run must pass the linearizability and
-     leak checks inside [run_soak]. *)
+     leak checks inside [Chaos.run]. *)
   List.iter
     (fun p ->
       List.iter
@@ -107,9 +184,8 @@ let test_soak_matrix () =
           List.iter
             (fun policy ->
               let r =
-                Chaos.run_soak
-                  (Chaos.default_soak ~policy ~domains:2 ~ops_per_domain:500
-                     ~seed p)
+                Chaos.run Chaos.mixed
+                  (Chaos.config ~policy ~domains:2 ~ops_per_domain:500 ~seed p)
               in
               if not r.ok then
                 Alcotest.failf "soak p=%.2f seed=%d policy=%s: %s" p seed
@@ -131,17 +207,17 @@ let test_snapshot_reader_soak () =
   List.iter
     (fun seed ->
       let r =
-        Chaos.run_snapshot_soak
-          (Chaos.default_soak ~domains:2 ~ops_per_domain:600 ~key_space:48
-             ~seed 0.05)
+        Chaos.run Chaos.snapshot
+          (Chaos.config ~domains:2 ~ops_per_domain:600 ~key_space:48 ~seed
+             0.05)
       in
-      if not r.sn_ok then
+      if not r.ok then
         Alcotest.failf "snapshot soak seed=%d: %s" seed
-          (String.concat "; " r.sn_errors);
+          (String.concat "; " r.errors);
       Alcotest.(check bool)
         (Printf.sprintf "snapshots observed (seed=%d)" seed)
         true
-        (r.sn_snapshots > 0 && r.sn_writer_commits > 0))
+        (r.snapshots > 0 && r.committed > 0))
     [ 1; 2; 3 ]
 
 (* ---------------- remote-abort settlement vs snapshot readers -------- *)
@@ -251,9 +327,9 @@ let test_remote_abort_settlement_vs_snapshots () =
 
 let test_soak_karma_smoke () =
   let r =
-    Chaos.run_soak
-      (Chaos.default_soak ~policy:Stm.Contention.Karma ~domains:2
-         ~ops_per_domain:400 ~seed:7 0.05)
+    Chaos.run Chaos.mixed
+      (Chaos.config ~policy:Stm.Contention.Karma ~domains:2 ~ops_per_domain:400
+         ~seed:7 0.05)
   in
   if not r.ok then Alcotest.failf "karma soak: %s" (String.concat "; " r.errors)
 
@@ -269,18 +345,18 @@ let test_failover_soak () =
       List.iter
         (fun seed ->
           let r =
-            Chaos.run_failover_soak
-              (Chaos.default_failover ~domains:2 ~ops_per_domain:600
-                 ~places:4 ~key_space:96 ~kills:2 ~mode ~seed 0.05)
+            Chaos.run Chaos.failover
+              (Chaos.config ~domains:2 ~ops_per_domain:600 ~key_space:96
+                 ~kills:2 ~mode ~seed 0.05)
           in
-          if not r.fv_ok then
+          if not r.ok then
             Alcotest.failf "failover soak seed=%d mode=%s: %s" seed
               (Chaos.mode_name mode)
-              (String.concat "; " r.fv_errors);
+              (String.concat "; " r.errors);
           Alcotest.(check bool)
             (Printf.sprintf "kills executed (seed=%d %s)" seed
                (Chaos.mode_name mode))
-            true (r.fv_kills = 2))
+            true (r.kills = 2))
         [ 11; 12 ])
     [ Places.Eager; Places.Lazy { max_lag = 8 } ]
 
@@ -299,6 +375,10 @@ let suites =
       [
         Alcotest.test_case "same seed, same schedule and contents" `Quick
           test_chaos_determinism;
+        Alcotest.test_case "a lost model effect fails the soak" `Quick
+          test_lost_effect_fails;
+        Alcotest.test_case "repro line names scenario, config and target"
+          `Quick test_repro_line;
         Alcotest.test_case "soak matrix (3 probs x 3 seeds x 2 policies)"
           `Slow test_soak_matrix;
         Alcotest.test_case "soak under karma" `Quick test_soak_karma_smoke;

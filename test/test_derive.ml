@@ -567,9 +567,9 @@ let test_derived_soak () =
   List.iter
     (fun seed ->
       let r =
-        Harness.Chaos.run_derived_soak
-          (Harness.Chaos.default_soak ~domains:2 ~ops_per_domain:400
-             ~key_space:32 ~seed 0.05)
+        Harness.Chaos.run Harness.Chaos.derived
+          (Harness.Chaos.config ~domains:2 ~ops_per_domain:400 ~key_space:32
+             ~seed 0.05)
       in
       if not r.Harness.Chaos.ok then
         Alcotest.failf "derived soak seed=%d: %s" seed

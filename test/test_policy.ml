@@ -110,7 +110,7 @@ let prop_state_equivalence =
 
 let test_chaos_soak_policies () =
   (* 2 seeds x (4 fixed policies + adaptive): every soak must pass the
-     linearizability and leak checks inside [run_soak] regardless of the
+     linearizability and leak checks inside [Chaos.run] regardless of the
      TM protocol underneath. *)
   with_clean_policy @@ fun () ->
   List.iter
@@ -118,9 +118,9 @@ let test_chaos_soak_policies () =
       List.iter
         (fun tm_policy ->
           let r =
-            Chaos.run_soak
-              (Chaos.default_soak ~tm_policy ~domains:2 ~ops_per_domain:300
-                 ~seed 0.05)
+            Chaos.run Chaos.mixed
+              (Chaos.config ~tm_policy ~domains:2 ~ops_per_domain:300 ~seed
+                 0.05)
           in
           if not r.ok then
             Alcotest.failf "soak seed=%d tm_policy=%s: %s" seed tm_policy
