@@ -48,12 +48,6 @@ type config = {
   seed : int;
   p : float;  (* probability of each injection kind at each hook point *)
   policy : Stm.Contention.policy;
-  tm_policy : string option;
-      (* TM policy the whole soak runs under: a fixed policy name,
-         "adaptive" for the runtime controller, or [None] to leave the
-         process policy untouched.  An ablation axis: the same seeded
-         schedule must produce a linearizable outcome under every point
-         of the policy matrix. *)
   domains : int;  (* worker domains *)
   ops_per_domain : int;
   key_space : int;
@@ -64,14 +58,13 @@ type config = {
   kills : int;  (* kill/recover cycles of the failover fault plan *)
 }
 
-let config ?(policy = Stm.Contention.default) ?tm_policy ?(domains = 2)
+let config ?(policy = Stm.Contention.default) ?(domains = 2)
     ?(ops_per_domain = 800) ?(key_space = 64) ?(stripes = 16)
     ?(mode = Places.Eager) ?(kills = 3) ~seed p =
   {
     seed;
     p;
     policy;
-    tm_policy;
     domains;
     ops_per_domain;
     key_space;
@@ -130,18 +123,15 @@ let note_injection site = Domain.DLS.get last_injection_key := site
 let last_injection () = !(Domain.DLS.get last_injection_key)
 
 let fail_context cfg ~section =
-  Printf.sprintf "[seed=%d section=%s policy=%s last_injection=%s] " cfg.seed
-    section
-    (Stm.Policy.name (Stm.Policy.global ()))
+  Printf.sprintf "[seed=%d section=%s last_injection=%s] " cfg.seed section
     (last_injection ())
 
 let pp_config ppf c =
   Format.fprintf ppf
-    "{seed=%d; p=%g; policy=%s; tm_policy=%s; domains=%d; ops_per_domain=%d; \
+    "{seed=%d; p=%g; policy=%s; domains=%d; ops_per_domain=%d; \
      key_space=%d; stripes=%d; mode=%s; kills=%d}"
     c.seed c.p
     (Stm.Contention.name c.policy)
-    (Option.value c.tm_policy ~default:"-")
     c.domains c.ops_per_domain c.key_space c.stripes
     (match c.mode with
     | Places.Eager -> "eager"
@@ -207,27 +197,6 @@ let install cfg =
   Stm.Chaos.set_hook (Some (hook cfg))
 
 let uninstall () = Stm.Chaos.set_hook None
-
-(* Install the soak's TM policy for the duration of [f], restoring the
-   previous global policy (and the adaptive controller, if it was on)
-   afterwards so soaks compose with surrounding tests. *)
-let with_tm_policy cfg f =
-  match cfg.tm_policy with
-  | None -> f ()
-  | Some name ->
-      let prev = Stm.Policy.global () in
-      let prev_adaptive = Stm.Policy.adaptive () in
-      (if String.equal name "adaptive" then Stm.Policy.enable_adaptive ()
-       else
-         match Stm.Policy.of_name name with
-         | Some p -> Stm.Policy.set_global p
-         | None -> invalid_arg (Printf.sprintf "unknown TM policy %S" name));
-      Fun.protect
-        ~finally:(fun () ->
-          Stm.Policy.disable_adaptive ();
-          Stm.Policy.set_global prev;
-          if prev_adaptive then Stm.Policy.enable_adaptive ())
-        f
 
 (* ---------------- scenario interface ---------------- *)
 
@@ -383,21 +352,14 @@ type report = {
 }
 
 (* The line that replays a failing run: the scenario and its full config,
-   then the bench target that runs the scenario, with only the env vars
-   that target reads (the failover target ignores CHAOS_TM_POLICY). *)
+   then the bench target that runs the scenario. *)
 let repro sc cfg =
   Format.asprintf
     "reproduce: Harness.Chaos.run Harness.Chaos.%s %a; bench target: \
-     CHAOS_SEEDS=%d%s dune exec bench/main.exe -- %s"
-    sc.name pp_config cfg cfg.seed
-    (match cfg.tm_policy with
-    | Some name when String.equal sc.target "chaos" ->
-        " CHAOS_TM_POLICY=" ^ name
-    | _ -> "")
-    sc.target
+     CHAOS_SEEDS=%d dune exec bench/main.exe -- %s"
+    sc.name pp_config cfg cfg.seed sc.target
 
 let run sc cfg =
-  with_tm_policy cfg @@ fun () ->
   install cfg;
   let inst = sc.make cfg in
   let context part () = fail_context cfg ~section:(sc.name ^ "." ^ part) in

@@ -150,38 +150,13 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
            structure region, and only maintained when a structural facet
            is in use *)
     dls : domain_locals Domain.DLS.key;
-    pinned_policy : string option;
   }
 
   let default_stripes = 16
 
-  (* All transactional state the functor generates is semantic (store
-     buffers, lock tables, commit/abort handlers) — no tvar-level
-     protocol axis can reach the wrapped structure, so every TM policy is
-     safe.  Same capability record and rationale as the hand-written
-     wrappers. *)
-  let policy_support =
-    {
-      Tm_intf.ps_eager_acquire = true;
-      ps_read_locking = true;
-      ps_undo_logging = true;
-    }
-
   let track_struct = S.uses_size || S.uses_isempty || S.uses_first
 
-  let check_pinned_policy = function
-    | None -> ()
-    | Some name ->
-        let cur = TM.txn_policy_name () in
-        if not (String.equal cur name) then
-          invalid_arg
-            (Printf.sprintf
-               "transaction ran under TM policy %s but the collection is \
-                pinned to %s"
-               cur name)
-
-  let create ?(stripes = default_stripes) ?hash ?tm_policy () =
-    Option.iter (TM.validate_policy ~support:policy_support) tm_policy;
+  let create ?(stripes = default_stripes) ?hash () =
     if S.uses_first && Option.is_none S.compare_key then
       invalid_arg (S.name ^ ": uses_first requires compare_key");
     (* The first facet is whole-collection state: observing the minimum
@@ -195,10 +170,8 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
       shards = Array.init k (fun _ -> S.create ());
       csize = 0;
       dls = Domain.DLS.new_key (fun () -> { tbl = Hashtbl.create 8; pool = [] });
-      pinned_policy = tm_policy;
     }
 
-  let pinned_policy t = t.pinned_policy
   let sregion t = L.struct_region t.locks
   let shard_of t k = t.shards.(L.stripe_index t.locks k)
   let key_region t k = L.region_of_key t.locks k
@@ -294,7 +267,6 @@ module Make (TM : Tm_intf.TM_OPS) (S : SPEC) = struct
      the TM's commit point so an exception aborts with nothing applied.
      Every critical below re-enters a region the plan already holds. *)
   let prepare_handler t l () =
-    check_pinned_policy t.pinned_policy;
     let self = l.txn in
     Coll.Chain_hashmap.iter
       (fun k _ ->

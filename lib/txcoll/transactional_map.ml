@@ -128,39 +128,9 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
            they remain visible to other transactions through equals/hash.
            Supplying a copier stores an independent committed copy instead.
            The default is identity — correct for immutable keys. *)
-    pinned_policy : string option;
-        (* TM policy the collection was wrapped with, if any; enforced
-           against the committing transaction's policy in [prepare]. *)
   }
 
   let default_stripes = 16
-
-  (* TM policy matrix: this collection's transactional state is purely
-     semantic (store buffers, lock tables, commit/abort handlers), so
-     every tvar-level protocol axis is safe — the TM's acquire/read/
-     versioning choices never reach the wrapped structure. *)
-  let policy_support =
-    {
-      Tm_intf.ps_eager_acquire = true;
-      ps_read_locking = true;
-      ps_undo_logging = true;
-    }
-
-  (* Pinned-policy enforcement point: runs in the prepare phase (before
-     the TM's commit point), so a transaction mutating the collection
-     under the wrong policy fails fast with nothing applied.  The raise
-     escapes [atomic] un-retried — misconfiguration, not contention.
-     Read-only commits skip prepare and are not checked. *)
-  let check_pinned_policy = function
-    | None -> ()
-    | Some name ->
-        let cur = TM.txn_policy_name () in
-        if not (String.equal cur name) then
-          invalid_arg
-            (Printf.sprintf
-               "transaction ran under TM policy %s but the collection is \
-                pinned to %s"
-               cur name)
 
   (* ---------------- snapshot shadows ---------------- *)
 
@@ -197,8 +167,7 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
     !pm
 
   let wrap ?(stripes = default_stripes) ?hash ?(isempty_policy = Dedicated)
-      ?(write_policy = Optimistic) ?(copy_key = Fun.id) ?tm_policy map =
-    Option.iter (TM.validate_policy ~support:policy_support) tm_policy;
+      ?(write_policy = Optimistic) ?(copy_key = Fun.id) map =
     let locks = L.create ~stripes ?hash () in
     let k = L.stripe_count locks in
     let shards, csize =
@@ -228,15 +197,10 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
       isempty_policy;
       write_policy;
       copy_key;
-      pinned_policy = tm_policy;
     }
 
-  let create ?stripes ?hash ?isempty_policy ?write_policy ?copy_key ?tm_policy
-      () =
-    wrap ?stripes ?hash ?isempty_policy ?write_policy ?copy_key ?tm_policy
-      (M.create ())
-
-  let pinned_policy t = t.pinned_policy
+  let create ?stripes ?hash ?isempty_policy ?write_policy ?copy_key () =
+    wrap ?stripes ?hash ?isempty_policy ?write_policy ?copy_key (M.create ())
 
   let sregion t = L.struct_region t.locks
   let shard_of t k = t.shards.(L.stripe_index t.locks k)
@@ -318,7 +282,6 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
      TM's commit point so an exception here aborts with nothing applied.
      Every critical below re-enters a region the plan already holds. *)
   let prepare_handler t l () =
-    check_pinned_policy t.pinned_policy;
     let self = l.txn in
     Coll.Chain_hashmap.iter
       (fun k _ ->

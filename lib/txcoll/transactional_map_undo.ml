@@ -42,54 +42,17 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
     map : 'v M.t;
     locks : M.key L.t;
     locals : (int, 'v local) Hashtbl.t;
-    pinned_policy : string option;
-        (* TM policy the map was wrapped with, if any; enforced against
-           the committing transaction's policy in [prepare]. *)
   }
-
-  (* TM policy matrix: although this collection mutates the wrapped map
-     in place at operation time, that mutation happens inside [critical]
-     regions with its own semantic undo log — it never goes through
-     tvars, so every tvar-level protocol axis (including the TM's own
-     undo logging) remains safe.  The collection is itself the
-     encounter-time point of the design space; a matching pin is
-     [eager_rl_ul], but any policy is sound. *)
-  let policy_support =
-    {
-      Tm_intf.ps_eager_acquire = true;
-      ps_read_locking = true;
-      ps_undo_logging = true;
-    }
-
-  (* Prepare-phase enforcement of a wrap-time policy pin; the raise
-     escapes [atomic] un-retried (misconfiguration, not contention). *)
-  let check_pinned_policy = function
-    | None -> ()
-    | Some name ->
-        let cur = TM.txn_policy_name () in
-        if not (String.equal cur name) then
-          invalid_arg
-            (Printf.sprintf
-               "transaction ran under TM policy %s but the collection is \
-                pinned to %s"
-               cur name)
 
   (* A single stripe (K = 1): in-place updates plus an undo log need one
      atomic view of the whole map (size is read live, compensation replays
      against it), so the lock manager's structure region — which K = 1
      shares with its only key stripe — serialises everything, exactly the
      historical single-region behaviour. *)
-  let wrap ?tm_policy map =
-    Option.iter (TM.validate_policy ~support:policy_support) tm_policy;
-    {
-      map;
-      locks = L.create ~stripes:1 ();
-      locals = Hashtbl.create 32;
-      pinned_policy = tm_policy;
-    }
+  let wrap map =
+    { map; locks = L.create ~stripes:1 (); locals = Hashtbl.create 32 }
 
-  let create ?tm_policy () = wrap ?tm_policy (M.create ())
-  let pinned_policy t = t.pinned_policy
+  let create () = wrap (M.create ())
   let critical t f = TM.critical (L.struct_region t.locks) f
 
   let cleanup t l =
@@ -100,7 +63,6 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
      before the TM's commit point) detects the remaining abstract-state
      conflicts, the apply phase only releases. *)
   let prepare_handler t l () =
-    check_pinned_policy t.pinned_policy;
     critical t (fun () ->
         if l.delta <> 0 then begin
           L.conflict_size t.locks ~self:l.txn;

@@ -93,39 +93,12 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) = struct
     isempty_policy : isempty_policy;
     write_policy : write_policy;
     copy_key : M.key -> M.key;
-    pinned_policy : string option;
-        (* TM policy the collection was wrapped with, if any; enforced
-           against the committing transaction's policy in [prepare]. *)
   }
 
   type 'v view = { parent : 'v t; lo : M.key option; hi : M.key option }
 
-  (* TM policy matrix: all transactional state is semantic (ordered store
-     buffers, interval lock tables, handlers), so every tvar-level
-     protocol axis is safe for this collection. *)
-  let policy_support =
-    {
-      Tm_intf.ps_eager_acquire = true;
-      ps_read_locking = true;
-      ps_undo_logging = true;
-    }
-
-  (* Prepare-phase enforcement of a wrap-time policy pin; the raise
-     escapes [atomic] un-retried (misconfiguration, not contention). *)
-  let check_pinned_policy = function
-    | None -> ()
-    | Some name ->
-        let cur = TM.txn_policy_name () in
-        if not (String.equal cur name) then
-          invalid_arg
-            (Printf.sprintf
-               "transaction ran under TM policy %s but the collection is \
-                pinned to %s"
-               cur name)
-
   let wrap ?(splitters = []) ?(isempty_policy = Dedicated)
-      ?(write_policy = Optimistic) ?(copy_key = Fun.id) ?tm_policy map =
-    Option.iter (TM.validate_policy ~support:policy_support) tm_policy;
+      ?(write_policy = Optimistic) ?(copy_key = Fun.id) map =
     let locks =
       L.create_intervals ~splitters:(Array.of_list splitters)
         ~compare:M.compare_key ()
@@ -160,14 +133,10 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) = struct
       isempty_policy;
       write_policy;
       copy_key;
-      pinned_policy = tm_policy;
     }
 
-  let create ?splitters ?isempty_policy ?write_policy ?copy_key ?tm_policy () =
-    wrap ?splitters ?isempty_policy ?write_policy ?copy_key ?tm_policy
-      (M.create ())
-
-  let pinned_policy t = t.pinned_policy
+  let create ?splitters ?isempty_policy ?write_policy ?copy_key () =
+    wrap ?splitters ?isempty_policy ?write_policy ?copy_key (M.create ())
 
   let compare_key = M.compare_key
   let sregion t = L.struct_region t.locks
@@ -298,7 +267,6 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.SORTED_MAP_OPS) = struct
      rather than deferring it (committer wins, as in the seed semantics).
      All criticals below only re-enter regions the plan holds. *)
   let prepare_handler t l () =
-    check_pinned_policy t.pinned_policy;
     if not (Coll.Ordmap.is_empty l.buffer) then begin
       let self = l.txn in
       Coll.Ordmap.iter
