@@ -227,10 +227,18 @@ let chaos_matrix ~ops_per_domain =
 
 (* Snapshot-reader prefix-consistency soak: writers under injection
    committing mirror map/sorted pairs while a snapshot reader checks every
-   section for torn reads. *)
+   section for torn reads.  At 48 keys per domain each of the hashed map's
+   8 stripes holds about 12 keys, inside its snapshot index's first table;
+   at 1024 every stripe's index grows (and sweeps) while readers hold the
+   old tables. *)
+let snapshot_soak_key_spaces = [ 48; 1024 ]
+
 let snapshot_soak_matrix ~ops_per_domain =
-  soak_seeds Chaos.snapshot
-    (Chaos.config ~domains:2 ~ops_per_domain ~key_space:48 0.05)
+  List.concat_map
+    (fun key_space ->
+      soak_seeds Chaos.snapshot
+        (Chaos.config ~domains:2 ~ops_per_domain ~key_space 0.05))
+    snapshot_soak_key_spaces
 
 let chaos () =
   let rows = chaos_matrix ~ops_per_domain:800 in
@@ -265,7 +273,8 @@ let chaos () =
       Fmt.pf ppf "@.%s@." title;
       List.iter
         (fun (r : Chaos.report) ->
-          Fmt.pf ppf "  seed %d: %a@." r.config.seed Chaos.pp_report r)
+          Fmt.pf ppf "  seed %d key_space %d: %a@." r.config.seed
+            r.config.key_space Chaos.pp_report r)
         rows)
     soaks;
   if
@@ -766,9 +775,9 @@ let stmscale_json ~cores ~chaos_rows ~snapshot_soak_rows ~failover_rows
     (fun i (r : Chaos.report) ->
       Buffer.add_string b
         (Printf.sprintf
-           "    {\"seed\": %d, \"ok\": %b, \"snapshots\": %d, \
-            \"writer_commits\": %d}%s\n"
-           r.config.seed r.ok r.snapshots r.committed
+           "    {\"seed\": %d, \"key_space\": %d, \"ok\": %b, \
+            \"snapshots\": %d, \"writer_commits\": %d}%s\n"
+           r.config.seed r.config.key_space r.ok r.snapshots r.committed
            (if i = List.length snapshot_soak_rows - 1 then "" else ",")))
     snapshot_soak_rows;
   Buffer.add_string b "  ],\n";

@@ -162,8 +162,9 @@ val outstanding_locks : 'v t -> int
     when no transaction is mid-flight. *)
 
 val snapshot_history_length : 'v t -> int
-(** Longest multi-version shadow chain over all current master
-    collections — the reclamation probe: converges back to at most
-    [Stm.version_chain_bound] after recovery once no pinned reader holds
-    an old epoch (dead generations are unreachable and simply collected).
-    *)
+(** Longest multi-version chain over all current master collections (a
+    key's chain in a hashed map's version index, a sorted map's shadow
+    chain, or a size chain) — the reclamation probe: converges back to at
+    most [Stm.version_chain_bound] after recovery once no pinned reader
+    holds an old epoch and later writes have swept the long chains (dead
+    generations are unreachable and simply collected). *)

@@ -38,16 +38,20 @@
    presence.
 
    Multi-version snapshots.  Alongside each mutable shard the map keeps a
-   bounded chain of immutable shadow copies ([Coll.Vchain] of persistent
-   hash-bucketed [Coll.Pmap]s), one chain per stripe plus one structure
-   chain carrying the committed size.  Every mutating commit publishes the
-   stripes it changed at its commit stamp while still holding those
-   stripes' regions — publications to one chain are therefore serialized
-   and stamp-monotone — and non-transactional writes draw a stamp through
-   [TM.begin_publish] under the same regions.  A snapshot reader
-   ([TM.in_snapshot]) resolves every operation against the newest shadow
-   at or below its pinned stamp, touching no region, taking no semantic
-   lock, and never aborting. *)
+   per-key version index ([Coll.Mvindex]): one cell per key holding that
+   key's newest-first committed versions, each a value or a tombstone
+   stamped with its commit stamp.  A structure chain ([Coll.Vchain])
+   carries the committed size.  Every mutating commit publishes each
+   written key at its commit stamp inside the key's own stripe critical
+   section — publications to one index are therefore serialized and
+   stamp-monotone — and non-transactional writes draw a stamp through
+   [TM.begin_publish] under the same regions.  A commit thus costs one
+   version per written key, not a copy of the stripe's image.  A snapshot
+   reader ([TM.in_snapshot]) resolves every key at its pinned stamp,
+   touching no region, taking no semantic lock, and never aborting.
+   Publishers reclaim as they go: a key keeps only the versions the
+   oldest reader epoch can still reach, and a removed key's cell is
+   unlinked once its tombstone is at or below that epoch. *)
 
 module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
   module L = Semlock.Make (TM)
@@ -103,19 +107,14 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
     mutable pool : 'v local list;
   }
 
-  (* Immutable shadow of one shard: persistent map from key hash to the
-     bucket of bindings sharing that hash (same hash/equality discipline as
-     the store buffer: [Hashtbl.hash] and structural equality). *)
-  type 'v shadow = (int, (M.key * 'v) list) Coll.Pmap.t
-
   type 'v t = {
     locks : M.key L.t;
     shards : 'v M.t array; (* shard [i] holds the keys of stripe [i] *)
     mutable csize : int;
         (* committed bindings across all shards; read/written only under
            the structure region *)
-    snap : 'v shadow Coll.Vchain.t array;
-        (* shadow chain [i] versions shard [i]; published only while
+    snap : (M.key, 'v) Coll.Mvindex.t array;
+        (* index [i] versions the keys of shard [i]; published only while
            stripe [i]'s region is held *)
     snap_struct : int Coll.Vchain.t;
         (* committed-size chain; published only under the structure region *)
@@ -132,39 +131,12 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
 
   let default_stripes = 16
 
-  (* ---------------- snapshot shadows ---------------- *)
-
-  let snap_hash k = Hashtbl.hash k land max_int
-  let shadow_empty () : 'v shadow = Coll.Pmap.empty ~compare:Int.compare
-
-  let shadow_add (pm : 'v shadow) k v =
-    let h = snap_hash k in
-    let bucket =
-      match Coll.Pmap.find pm h with
-      | None -> []
-      | Some b -> List.filter (fun (k', _) -> k' <> k) b
-    in
-    Coll.Pmap.add pm h ((k, v) :: bucket)
-
-  let shadow_remove (pm : 'v shadow) k =
-    let h = snap_hash k in
-    match Coll.Pmap.find pm h with
-    | None -> pm
-    | Some b -> (
-        match List.filter (fun (k', _) -> k' <> k) b with
-        | [] -> Coll.Pmap.remove pm h
-        | b' -> Coll.Pmap.add pm h b')
-
-  let shadow_find (pm : 'v shadow) k =
-    match Coll.Pmap.find pm (snap_hash k) with
-    | None -> None
-    | Some b ->
-        List.find_map (fun (k', v) -> if k' = k then Some v else None) b
-
-  let shadow_of_shard shard =
-    let pm = ref (shadow_empty ()) in
-    M.iter (fun k v -> pm := shadow_add !pm k v) shard;
-    !pm
+  (* Snapshot index of one shard, every binding stamped 0 (same
+     hash/equality discipline as the store buffer: [Hashtbl.hash] and
+     structural equality). *)
+  let index_of_shard shard =
+    Coll.Mvindex.init ~hash:Hashtbl.hash ~equal:( = ) 0 (fun f ->
+        M.iter f shard)
 
   let wrap ?(stripes = default_stripes) ?hash ?(isempty_policy = Dedicated)
       ?(write_policy = Optimistic) ?(copy_key = Fun.id) map =
@@ -187,9 +159,7 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
       locks;
       shards;
       csize;
-      snap =
-        Array.map (fun shard -> Coll.Vchain.make 0 (shadow_of_shard shard))
-          shards;
+      snap = Array.map index_of_shard shards;
       snap_struct = Coll.Vchain.make 0 csize;
       dls =
         Domain.DLS.new_key (fun () ->
@@ -296,14 +266,15 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
           if (was_size = 0) <> (was_size + delta = 0) then
             L.conflict_isempty t.locks ~self)
 
-  (* Publish one stripe's updated shadow at [stamp].  Caller holds the
-     stripe's region (commit plan or an explicit critical), which
-     serializes publications to the chain and makes stamps monotone:
-     every publisher draws its stamp while already holding the region. *)
-  let publish_stripe t si ~min_epoch stamp shadow =
+  (* Publish key [k]'s committed state at [stamp].  Caller holds the
+     key's stripe region (commit plan or an explicit critical), which
+     serializes publications to the stripe's index and makes stamps
+     monotone: every publisher draws its stamp while already holding the
+     region. *)
+  let publish_key t ~min_epoch stamp k pending =
     TM.note_reclaimed
-      (Coll.Vchain.publish t.snap.(si) ~keep:TM.version_chain_bound
-         ~min_epoch stamp shadow)
+      (Coll.Mvindex.publish t.snap.(L.stripe_index t.locks k) ~min_epoch
+         stamp k pending)
 
   let publish_struct t ~min_epoch stamp =
     TM.note_reclaimed
@@ -311,50 +282,34 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
          ~min_epoch stamp t.csize)
 
   (* Apply phase, after the commit point: flush the store buffer (redo
-     log) to the shards, fold the net presence change into the committed
-     size, publish the changed stripes' shadows at the commit stamp, and
-     release semantic locks.  Shadows accumulate across the buffer so each
-     touched chain is published exactly once per commit. *)
+     log) to the shards, publishing each written key at the commit stamp
+     in the same critical section, fold the net presence change into the
+     committed size, and release semantic locks.  A commit that buffered
+     no write (its apply only releases read locks) reads no epoch. *)
   let apply_handler t l stamp =
-    let delta = ref 0 in
-    let n = stripe_count t in
-    let shadows = Array.make n None in
-    Coll.Chain_hashmap.iter
-      (fun k w ->
-        TM.critical (key_region t k) (fun () ->
-            let si = L.stripe_index t.locks k in
-            let shadow =
-              match shadows.(si) with
-              | Some pm -> pm
-              | None -> Coll.Vchain.latest t.snap.(si)
-            in
-            let shard = shard_of t k in
-            let before =
-              match w.prior with Some p -> p | None -> M.mem shard k
-            in
-            (match w.pending with
-            | Some v ->
-                M.add shard k v;
-                shadows.(si) <- Some (shadow_add shadow k v)
-            | None ->
-                M.remove shard k;
-                shadows.(si) <- Some (shadow_remove shadow k));
-            let after = Option.is_some w.pending in
-            if after && not before then incr delta
-            else if before && not after then decr delta))
-      l.buffer;
-    let min_epoch = TM.reclaim_epoch () in
-    for si = 0 to n - 1 do
-      match shadows.(si) with
-      | None -> ()
-      | Some shadow ->
-          TM.critical (L.stripe_region t.locks si) (fun () ->
-              publish_stripe t si ~min_epoch stamp shadow)
-    done;
-    if !delta <> 0 then
-      TM.critical (sregion t) (fun () ->
-          t.csize <- t.csize + !delta;
-          publish_struct t ~min_epoch stamp);
+    if not (Coll.Chain_hashmap.is_empty l.buffer) then begin
+      let min_epoch = TM.reclaim_epoch () in
+      let delta = ref 0 in
+      Coll.Chain_hashmap.iter
+        (fun k w ->
+          TM.critical (key_region t k) (fun () ->
+              let shard = shard_of t k in
+              let before =
+                match w.prior with Some p -> p | None -> M.mem shard k
+              in
+              (match w.pending with
+              | Some v -> M.add shard k v
+              | None -> M.remove shard k);
+              publish_key t ~min_epoch stamp k w.pending;
+              let after = Option.is_some w.pending in
+              if after && not before then incr delta
+              else if before && not after then decr delta))
+        l.buffer;
+      if !delta <> 0 then
+        TM.critical (sregion t) (fun () ->
+            t.csize <- t.csize + !delta;
+            publish_struct t ~min_epoch stamp)
+    end;
     cleanup t l
 
   let abort_handler t l () = cleanup t l
@@ -420,13 +375,14 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
 
   (* ---------------- read operations ---------------- *)
 
-  (* Snapshot reads resolve against the shadow chains at the pinned stamp:
+  (* Snapshot reads resolve against the version index at the pinned stamp:
      no region, no semantic lock, no conflict, no abort. *)
-  let snap_shadow t k =
-    Coll.Vchain.read_at t.snap.(L.stripe_index t.locks k) (TM.snapshot_stamp ())
+  let snap_find t k =
+    Coll.Mvindex.find_at t.snap.(L.stripe_index t.locks k)
+      (TM.snapshot_stamp ()) k
 
   let find t k =
-    if TM.in_snapshot () then shadow_find (snap_shadow t k) k
+    if TM.in_snapshot () then snap_find t k
     else if not (TM.in_txn ()) then
       TM.critical (key_region t k) (fun () -> M.find (shard_of t k) k)
     else begin
@@ -529,7 +485,7 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
 
   (* Non-transactional writes nest structure-then-stripe (ascending rid):
      the shard mutation and the committed-size update must be atomic for
-     size readers.  The shadow publication draws its stamp through
+     size readers.  The key's publication draws its stamp through
      [TM.begin_publish] while both regions are held, so it serializes with
      committing transactions that touch the same stripe or the size. *)
   let nontxn_write t k pending =
@@ -549,14 +505,7 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
             let stamp = TM.begin_publish () in
             Fun.protect ~finally:TM.end_publish (fun () ->
                 let min_epoch = TM.reclaim_epoch () in
-                let si = L.stripe_index t.locks k in
-                let shadow = Coll.Vchain.latest t.snap.(si) in
-                let shadow =
-                  match pending with
-                  | Some v -> shadow_add shadow k v
-                  | None -> shadow_remove shadow k
-                in
-                publish_stripe t si ~min_epoch stamp shadow;
+                publish_key t ~min_epoch stamp k pending;
                 if Option.is_some old <> Option.is_some pending then
                   publish_struct t ~min_epoch stamp);
             old))
@@ -586,20 +535,15 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
      merges the shards with the store buffer, takes a key lock on every key
      returned and — as the enumeration observes the complete contents — the
      size lock. *)
-  (* Snapshot enumeration: every stripe's shadow is read at the same
+  (* Snapshot enumeration: every stripe's index is read at the same
      pinned stamp, so the result is a prefix-consistent cut across the
-     whole map (commits are published stripe-by-stripe under their
-     regions, but all at a single stamp the pin has already waited out). *)
+     whole map (commits are published key-by-key under their regions, but
+     all at a single stamp the pin has already waited out). *)
   let snap_fold f t init =
     let ts = TM.snapshot_stamp () in
-    let acc = ref init in
-    Array.iter
-      (fun chain ->
-        Coll.Pmap.iter
-          (fun _ bucket -> List.iter (fun (k, v) -> acc := f k v !acc) bucket)
-          (Coll.Vchain.read_at chain ts))
-      t.snap;
-    !acc
+    Array.fold_left
+      (fun acc idx -> Coll.Mvindex.fold_at f idx ts acc)
+      init t.snap
 
   let fold f t init =
     if TM.in_snapshot () then snap_fold f t init
@@ -687,7 +631,7 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
   let cursor ?(size_lock = `Eager) t =
     let candidates =
       if TM.in_snapshot () then
-        (* Candidate keys from the pinned shadows; [next] re-resolves each
+        (* Candidate keys from the pinned index; [next] re-resolves each
            against the same stamp, so the cursor never sees a torn state
            and takes no locks.  Must be drained inside the same snapshot
            section it was created in. *)
@@ -738,7 +682,7 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
         c.candidates <- rest;
         let hit =
           if TM.in_snapshot () then
-            Option.map (fun v -> (k, v)) (shadow_find (snap_shadow t k) k)
+            Option.map (fun v -> (k, v)) (snap_find t k)
           else if not (TM.in_txn ()) then
             TM.critical (key_region t k) (fun () ->
                 Option.map (fun v -> (k, v)) (M.find (shard_of t k) k))
@@ -760,14 +704,18 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) = struct
 
   (* ---------------- introspection for tests/traces ---------------- *)
 
-  (* Longest shadow chain (stripes and structure) — reclamation probe for
-     leak tests: bounded by [TM.version_chain_bound] once the oldest
-     snapshot-reader epoch has advanced. *)
+  (* Longest version chain (any key's, or the structure chain) —
+     reclamation probe for leak tests: bounded by [TM.version_chain_bound]
+     once the oldest snapshot-reader epoch has advanced.  Walks every
+     index; call at quiescence. *)
   let snapshot_history_length t =
     Array.fold_left
-      (fun acc chain -> max acc (Coll.Vchain.length chain))
+      (fun acc idx -> max acc (Coll.Mvindex.longest_chain idx))
       (Coll.Vchain.length t.snap_struct)
       t.snap
+
+  let snapshot_index_cells t =
+    Array.fold_left (fun acc idx -> acc + Coll.Mvindex.cells idx) 0 t.snap
 
   let holds_key_lock t k =
     TM.critical (key_region t k) (fun () ->

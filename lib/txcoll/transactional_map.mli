@@ -11,9 +11,11 @@
 
     Inside a snapshot read section ([TM.in_snapshot], e.g. [Stm.snapshot]),
     every read operation — point lookups, size/is_empty, folds and cursors
-    — resolves against bounded multi-version shadow chains at the pinned
-    snapshot stamp: no semantic locks, no critical regions, no conflicts,
-    no aborts.  Write operations raise [Invalid_argument] there. *)
+    — resolves at the pinned snapshot stamp against a per-key version
+    index (each key's newest-first committed versions, published one
+    version per written key at commit) and a bounded size chain: no
+    semantic locks, no critical regions, no conflicts, no aborts.  Write
+    operations raise [Invalid_argument] there. *)
 
 module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) : sig
   type 'v t
@@ -147,10 +149,17 @@ module Make (TM : Tm_intf.TM_OPS) (M : Tm_intf.MAP_OPS) : sig
   (** Size of the calling transaction's store buffer. *)
 
   val snapshot_history_length : 'v t -> int
-  (** Longest multi-version shadow chain (over all stripes and the
-      structure chain) — reclamation probe: at most
+  (** Longest multi-version chain: any key's chain in the snapshot index,
+      or the committed-size chain — reclamation probe: at most
       [TM.version_chain_bound] once the oldest snapshot-reader epoch has
-      advanced past the excess versions. *)
+      advanced and later writes have swept the long chains (each
+      publication trims its own bucket and one more, round the table).
+      Walks every key; call at quiescence. *)
+
+  val snapshot_index_cells : 'v t -> int
+  (** Cells in the snapshot index, over all stripes: one per live key,
+      plus removed keys not yet unlinked (leak probe: does not grow with
+      the number of keys removed while no reader stays pinned). *)
 
   val dump_state : Format.formatter -> 'v t -> unit
   (** Live rendering of Table 3's state inventory (committed / shared

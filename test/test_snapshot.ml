@@ -273,6 +273,88 @@ let test_chains_bounded_under_traffic () =
   Alcotest.(check bool) "sorted-map chains bounded" true
     (SM.snapshot_history_length m <= Stm.version_chain_bound)
 
+(* The hashed map's snapshot index under the same traffic: per-key chains
+   stay at the bound, and removed keys' cells are unlinked once no reader
+   needs their tombstones, so the cell count tracks the live keys, not the
+   number of keys ever removed. *)
+let test_hashed_map_index_bounded_under_traffic () =
+  let m = IM.create () in
+  for round = 1 to 200 do
+    Stm.atomic (fun () -> ignore (IM.put m (round mod 100) round));
+    if round mod 10 = 0 then
+      Stm.snapshot (fun () ->
+          ignore (IM.size m + IM.fold (fun _ v n -> n + v) m 0))
+  done;
+  Alcotest.(check bool) "hashed-map chains bounded" true
+    (IM.snapshot_history_length m <= Stm.version_chain_bound);
+  let churn = IM.create () in
+  let cells_after n0 n1 =
+    for k = n0 to n1 - 1 do
+      Stm.atomic (fun () -> ignore (IM.put churn k k));
+      ignore (IM.remove churn k)
+    done;
+    IM.snapshot_index_cells churn
+  in
+  (* Each stripe's index keeps at most one minimum-size table's worth of
+     cells (16 buckets, plus the insert that triggers a sweep). *)
+  let bound = IM.stripe_count churn * 17 in
+  let c1 = cells_after 0 1_000 in
+  let c2 = cells_after 1_000 10_000 in
+  Alcotest.(check int) "map empty after churn" 0 (IM.size churn);
+  Alcotest.(check bool)
+    (Printf.sprintf "cells after 1,000 removals (%d) <= %d" c1 bound)
+    true (c1 <= bound);
+  Alcotest.(check bool)
+    (Printf.sprintf "cells after 10,000 removals (%d) <= %d" c2 bound)
+    true (c2 <= bound)
+
+(* A snapshot pinned before another domain grows every stripe's index
+   (64 keys before the pin, 2,048 inserted after it: about 128 per
+   stripe against 16-bucket tables, so at least two doublings each) and
+   removes half the pre-pin keys keeps its size, fold and finds. *)
+let test_pinned_map_reader_across_index_growth () =
+  let m = IM.create () in
+  Stm.atomic (fun () ->
+      for k = 0 to 63 do
+        ignore (IM.put m k (k * 10))
+      done);
+  let probes = List.init 64 Fun.id @ [ 1000; 2047; 3047 ] in
+  Stm.snapshot (fun () ->
+      let size0 = IM.size m in
+      let fold0 () =
+        List.sort compare (IM.fold (fun k v acc -> (k, v) :: acc) m [])
+      in
+      let bindings0 = fold0 () in
+      let finds0 = List.map (IM.find m) probes in
+      let d =
+        Domain.spawn (fun () ->
+            for batch = 0 to 127 do
+              Stm.atomic (fun () ->
+                  for i = 0 to 15 do
+                    let k = 1000 + (batch * 16) + i in
+                    ignore (IM.put m k k)
+                  done)
+            done;
+            for k = 0 to 31 do
+              Stm.atomic (fun () -> ignore (IM.remove m k))
+            done)
+      in
+      Domain.join d;
+      Alcotest.(check int) "size pinned" size0 (IM.size m);
+      Alcotest.(check (list (pair int int))) "fold pinned" bindings0 (fold0 ());
+      Alcotest.(check (list (option int))) "finds pinned" finds0
+        (List.map (IM.find m) probes));
+  Alcotest.(check bool) "indexes average over 64 cells per stripe" true
+    (IM.snapshot_index_cells m > IM.stripe_count m * 64);
+  Stm.snapshot (fun () ->
+      Alcotest.(check int) "new snapshot: size" (64 - 32 + 2048) (IM.size m);
+      Alcotest.(check (option int)) "new snapshot: removed key" None
+        (IM.find m 0);
+      Alcotest.(check (option int)) "new snapshot: kept key" (Some 320)
+        (IM.find m 32);
+      Alcotest.(check (option int)) "new snapshot: inserted key" (Some 2047)
+        (IM.find m 2047))
+
 (* ---------------- allocation budget ---------------- *)
 
 (* The snapshot-read commit path is pin + chain reads + unpin: after
@@ -321,6 +403,10 @@ let suites =
           test_map_reclamation_property;
         Alcotest.test_case "chains bounded under traffic" `Quick
           test_chains_bounded_under_traffic;
+        Alcotest.test_case "hashed-map index bounded under traffic" `Quick
+          test_hashed_map_index_bounded_under_traffic;
+        Alcotest.test_case "pinned map reader across index growth" `Quick
+          test_pinned_map_reader_across_index_growth;
         Alcotest.test_case "snapshot commit allocation budget" `Quick
           test_snapshot_allocation_budget;
       ] );
